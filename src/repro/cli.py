@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quantum", type=float, default=50.0,
                        help="sim-time advanced per serve-loop step; "
                             "the ledger drains between steps so "
-                            "scrapes stay fresh")
+                            "scrapes stay fresh, and Ctrl-C stops the "
+                            "run between steps")
     serve.add_argument("--request-rate", type=float, default=0.05,
                        help="mutex requests per MH per time unit")
     serve.add_argument("--move-rate", type=float, default=0.02,
@@ -297,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "a bounded --duration run completes")
     serve.add_argument("--monitor-mode", default="batched",
                        choices=["event", "batched"],
-                       help="monitor dispatch strategy (default "
-                            "batched; see docs/observability.md)")
+                       help="monitor ledger drain cadence: per "
+                            "quantum (batched, default) or after every "
+                            "row (event); see docs/observability.md")
 
     perf = sub.add_parser(
         "perf",
@@ -1016,9 +1018,15 @@ def _run_serve(args, emit) -> int:
     ``/invariants`` always reflect a recently certified prefix of the
     run (``repro_obs_certified_until``).  Memory stays bounded: the
     hub runs with ``record=False`` so drained rows are dropped after
-    replay.
+    replay.  Ctrl-C (SIGINT) only sets a stop flag that the loop checks
+    between steps, so an interrupt never lands inside an event handler
+    and the shutdown drain always sees consistent protocol state.  The
+    previous handler is back in place once the loop exits, so a second
+    Ctrl-C during the shutdown drain still force-quits.
     """
-    import time as _time
+    import signal
+    import threading
+    import time
 
     from repro.obs import TelemetryServer, instrument_network
     from repro.workload import MutexWorkload as _MutexWorkload
@@ -1043,31 +1051,42 @@ def _run_serve(args, emit) -> int:
                         rng=random.Random(args.seed + 2))
         if args.move_rate > 0 else None
     )
+    stop = threading.Event()
+    try:
+        previous = signal.signal(signal.SIGINT, lambda *_: stop.set())
+    except ValueError:  # not the main thread: leave SIGINT alone
+        previous = None
     server = TelemetryServer(sim, host=args.host, port=args.port)
     server.start()
     emit(f"serving on {server.url}")
     emit("routes: /metrics /health /invariants")
     try:
-        while True:
-            target = sim.now + args.quantum
-            if args.duration > 0:
-                target = min(target, args.duration)
-            sim.run(until=target)
-            if sim.monitor_hub is not None:
-                sim.monitor_hub.drain_batches()
-            if args.duration > 0 and sim.now >= args.duration:
-                break
-    except KeyboardInterrupt:
-        emit("interrupted; shutting down")
-    finally:
+        try:
+            while not stop.is_set():
+                target = sim.now + args.quantum
+                if args.duration > 0:
+                    target = min(target, args.duration)
+                sim.run(until=target)
+                if args.duration > 0 and sim.now >= args.duration:
+                    break
+        finally:
+            # From here on a further Ctrl-C force-quits as usual.
+            if previous is not None:
+                signal.signal(signal.SIGINT, previous)
+        if stop.is_set():
+            emit("interrupted; shutting down")
         workload.stop()
         if mobility is not None:
             mobility.stop()
         sim.drain()
         emit(sim.monitor_report())
-        if args.linger > 0:
+        if args.linger > 0 and not stop.is_set():
             emit(f"run complete; serving for {args.linger:.0f}s more")
-            _time.sleep(args.linger)
+            try:
+                time.sleep(args.linger)
+            except KeyboardInterrupt:
+                pass
+    finally:
         server.stop()
     return 0
 

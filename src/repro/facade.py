@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, apply_fault_plan
 from repro.hosts import MobileHost, MobileSupportStation
 from repro.metrics import CostModel, MetricsCollector
+from repro.monitor.hub import MODES as MONITOR_MODES
 from repro.net import Network, NetworkConfig
 from repro.net.cache_search import CachingSearch
 from repro.net.regional_search import RegionalSearch
@@ -132,21 +133,15 @@ class Simulation:
         pooling: recycle fire-and-forget event objects through the
             scheduler's free list (default on; byte-identical either
             way).
-        monitor_sampling: monitor-overhead control (only meaningful
-            with ``monitors``): ``None``/``False`` delivers every
-            event; ``True`` samples high-rate event types at the
-            default rate; a float in ``(0, 1]`` sets the rate
-            explicitly.  Safety monitors that need every event keep
-            getting every event -- see ``docs/observability.md``.
-        monitor_mode: monitor dispatch strategy -- ``"event"``
-            (default) delivers each event to the monitors as it is
-            emitted; ``"batched"`` appends fixed-shape rows to the
-            :mod:`repro.obs` ledgers and replays them in drained
-            batches with identical per-event semantics, taking exact
-            monitoring off the hot path.  Batched mode requires
-            ``monitors`` and is mutually exclusive with
-            ``monitor_sampling`` (it is exact by construction).  See
-            ``docs/observability.md`` for the three fidelity tiers.
+        monitor_mode: drain cadence of the exact monitor pipeline
+            (only meaningful with ``monitors``).  Every event is
+            appended as a fixed-shape row to the :mod:`repro.obs`
+            ledger and the monitors replay the rows with per-event
+            semantics.  ``"batched"`` (default) drains every 50
+            sim-time units or per full segment; ``"event"`` drains
+            after every row, for debugging.  Verdicts are identical
+            either way, and :meth:`run`/:meth:`drain` always drain
+            before returning.  See ``docs/observability.md``.
     """
 
     def __init__(
@@ -167,8 +162,7 @@ class Simulation:
         max_active: Optional[int] = None,
         scheduler: str = "heap",
         pooling: bool = True,
-        monitor_sampling: Union[None, bool, float] = None,
-        monitor_mode: str = "event",
+        monitor_mode: str = "batched",
     ) -> None:
         if n_mss < 1:
             raise ConfigurationError("need at least one MSS")
@@ -204,19 +198,10 @@ class Simulation:
         self.tracer = None
         #: the installed monitor hub, or ``None`` when monitoring is off.
         self.monitor_hub = None
-        if monitor_mode not in ("event", "batched"):
+        if monitor_mode not in MONITOR_MODES:
             raise ConfigurationError(
-                f"monitor_mode must be 'event' or 'batched': "
+                f"monitor_mode must be one of {MONITOR_MODES}: "
                 f"{monitor_mode!r}"
-            )
-        if monitor_mode == "batched" and not monitors:
-            raise ConfigurationError(
-                "monitor_mode='batched' requires monitors="
-            )
-        if monitor_mode == "batched" and monitor_sampling:
-            raise ConfigurationError(
-                "monitor_mode='batched' is exact by construction and "
-                "cannot be combined with monitor_sampling"
             )
         if monitors:
             from repro.monitor import MonitorHub, default_monitors
@@ -226,22 +211,13 @@ class Simulation:
             else:
                 monitor_list = list(monitors)
             # The hub *is* a tracer: with trace=True it records events
-            # like a plain Tracer would; with trace=False it dispatches
-            # to the monitors and drops each event, bounding memory.
-            if monitor_sampling is None or monitor_sampling is False:
-                sample_rate = 1.0
-            elif monitor_sampling is True:
-                from repro.monitor import DEFAULT_SAMPLE_RATE
-
-                sample_rate = DEFAULT_SAMPLE_RATE
-            else:
-                sample_rate = float(monitor_sampling)
+            # like a plain Tracer would; with trace=False it replays
+            # them to the monitors and drops them, bounding memory.
             self.monitor_hub = MonitorHub(
                 self.scheduler,
                 monitor_list,
                 record=trace,
-                sample_rate=sample_rate,
-                batch=(monitor_mode == "batched"),
+                mode=monitor_mode,
             )
             self.network.trace = self.monitor_hub
             self.monitor_hub.bind(self.network)
@@ -361,9 +337,8 @@ class Simulation:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Advance the simulation (see :meth:`Scheduler.run`)."""
-        hub = self.monitor_hub
-        if hub is not None and hub._batch:
-            return self._run_timed(
+        if self.monitor_hub is not None:
+            return self._run_monitored(
                 lambda: self.scheduler.run(
                     until=until, max_events=max_events
                 )
@@ -372,19 +347,21 @@ class Simulation:
 
     def drain(self, max_events: int = 1_000_000) -> int:
         """Run until no events remain (see :meth:`Scheduler.drain`)."""
-        hub = self.monitor_hub
-        if hub is not None and hub._batch:
-            return self._run_timed(
+        if self.monitor_hub is not None:
+            return self._run_monitored(
                 lambda: self.scheduler.drain(max_events=max_events)
             )
         return self.scheduler.drain(max_events=max_events)
 
-    def _run_timed(self, step) -> int:
-        """Run ``step`` while attributing wall time to the scheduler
-        section, net of the observability drains it triggers."""
+    def _run_monitored(self, step) -> int:
+        """Run ``step``, then drain the monitor ledger so monitor state
+        (and a recording hub's event list) is current on return.  Wall
+        time is attributed to the scheduler section, net of the
+        observability drains it triggers."""
         from time import perf_counter
 
-        timers = self.monitor_hub.timers
+        hub = self.monitor_hub
+        timers = hub.timers
         obs_before = timers.get("drain") + timers.get("monitor")
         started = perf_counter()
         fired = step()
@@ -393,6 +370,7 @@ class Simulation:
             timers.get("drain") + timers.get("monitor") - obs_before
         )
         timers.add("scheduler", elapsed - obs_delta)
+        hub.drain_batches()
         return fired
 
     def cost(self, scope: Optional[str] = None) -> float:

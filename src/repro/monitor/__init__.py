@@ -34,11 +34,7 @@ from typing import List
 
 from repro.monitor.base import Monitor, Violation
 from repro.monitor.health import HealthMonitor
-from repro.monitor.hub import (
-    MonitorHub,
-    replay_events,
-    replay_events_batched,
-)
+from repro.monitor.hub import MonitorHub, replay_events
 from repro.monitor.liveness import LivenessMonitor
 from repro.monitor.recovery import (
     CrashRecoveryMonitor,
@@ -55,20 +51,11 @@ from repro.monitor.safety import (
     TokenUniquenessMonitor,
 )
 
-#: sample rate used by ``Simulation(monitor_sampling=True)``: high-rate
-#: event types are delivered to samplable monitors at a deterministic
-#: 1-in-10 stride, which keeps monitored runs within ~15% of
-#: unmonitored throughput while safety state machines stay exact (see
-#: docs/performance.md for the measured trade-off curve).
-DEFAULT_SAMPLE_RATE = 0.1
-
 __all__ = [
     "Monitor",
     "Violation",
-    "DEFAULT_SAMPLE_RATE",
     "MonitorHub",
     "replay_events",
-    "replay_events_batched",
     "default_monitors",
     "safety_monitors",
     "MutualExclusionMonitor",

@@ -1,40 +1,44 @@
 """The monitor hub: fan-out from the trace stream to the monitors.
 
-:class:`MonitorHub` *is* a tracer — it subclasses
+:class:`MonitorHub` *is* a tracer -- it subclasses
 :class:`~repro.trace.events.Tracer` and is installed as
 ``network.trace``, so every instrumentation point that already feeds
 the trace layer feeds the monitors too, through the same
 ``_trace_on``-style guard that makes the whole layer free when off.
-Events are dispatched through a compiled per-event-type table: the
-first emit of each etype resolves, once, which monitors want it, which
-are gated on a message-kind suffix, and which are sampled — so the
-steady-state hot path is one dict lookup plus the delivery loop.
+
+There is one exact pipeline.  Every emitted event becomes one
+fixed-shape row on a shared append-only ledger (the hottest sites
+append through compiled :meth:`MonitorHub.call_site_batch` closures
+and skip even the :meth:`~MonitorHub.emit` call), and the monitors
+consume the ledger in drained batches with per-event semantics intact:
+the same delivery order, event ids, violation attribution and health
+counters as if each event had been dispatched on its own.  The only
+choice is drain cadence:
+
+* ``mode="batched"`` (default) -- drain every ``drain_interval``
+  sim-time units, on segment fill, and always before
+  ``finalize``/``report``/``violations``/``ok``.  The drain-time
+  health gauges (``pending_events``, ``events_processed``,
+  ``mss_load``) are read at drain time, a staleness bounded by the
+  quantum.
+* ``mode="event"`` -- drain after every row, so monitors observe each
+  event before control returns to the emitting site (debugging: a
+  violation is recorded while its emitter is still on the stack).
 
 Two recording modes:
 
-* ``record=True`` — behaves exactly like a :class:`Tracer` (the event
-  list grows; exporters and walkthroughs keep working) *and* monitors
-  run.  This is ``Simulation(trace=True, monitors=...)``.
-* ``record=False`` — events are dispatched to the monitors and then
-  dropped, so memory stays bounded on long runs.  The hub recycles the
-  :class:`TraceEvent` objects through a :class:`repro.pool.Pool` free
-  list (monitors are pure observers and never retain event objects),
-  and skips constructing the event entirely when no monitor would see
-  it.  This is ``Simulation(trace=False, monitors=...)``.
+* ``record=True`` -- behaves like a :class:`Tracer` (the event list
+  grows as rows drain; exporters and walkthroughs keep working) *and*
+  monitors run.  This is ``Simulation(trace=True, monitors=...)``.
+* ``record=False`` -- rows are replayed through one reused scratch
+  event and dropped, so memory stays bounded on long runs.  This is
+  ``Simulation(trace=False, monitors=...)``.
 
-Sampling (``sample_rate < 1.0``, ROADMAP item 3's "observability for
-<10%" goal): event types are thinned with a deterministic stride —
-every ``round(1/rate)``-th occurrence is delivered, starting with the
-first — but only for monitors that declare ``samplable = True`` and
-only for etypes outside their ``critical_etypes``.  Safety monitors
-with exact state machines keep seeing every event at any rate, so a
-sampled run can *miss* a violation in a thinned high-rate stream but
-can never report a false one.  ``etype_filters`` drops whole event
-types outright (ids are still allocated, so causality chains are
-byte-identical).
+``etype_filters`` drops whole event types outright (ids are still
+allocated, so causality chains are byte-identical).
 
-Offline replay: :func:`replay_events` drives the same monitors over a
-recorded event list (for example a canonical scenario's trace), which
+Offline replay: :func:`replay_events` feeds a recorded event list (for
+example a canonical scenario's trace) through the same ledger, which
 is how the ``repro monitor`` CLI certifies the walkthrough scenarios.
 Part of the online monitoring layer (ROADMAP observability arc).
 """
@@ -42,17 +46,19 @@ Part of the online monitoring layer (ROADMAP observability arc).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.monitor.base import Monitor, Violation
 from repro.monitor.liveness import _REQUEST_SUFFIXES
 from repro.obs.ledger import LedgerSite
 from repro.obs.timing import WallTimers
-from repro.pool import Pool
 from repro.trace.events import TraceEvent, Tracer
 
-__all__ = ["MonitorHub", "replay_events", "replay_events_batched"]
+__all__ = ["MonitorHub", "replay_events"]
+
+#: drain cadences: per quantum / full segment, or after every row.
+MODES = ("batched", "event")
 
 #: shared empty detail payload for scratch replay events; monitors are
 #: pure observers and never retain or mutate the dict.
@@ -61,12 +67,6 @@ _EMPTY_DETAIL: Dict[str, Any] = {}
 
 def _blank_event() -> TraceEvent:
     return TraceEvent(id=0, parent_id=None, time=0.0, etype="")
-
-
-def _reset_event(event: TraceEvent) -> None:
-    # Drop the payload dict so the free list cannot pin protocol
-    # objects alive; scalar fields are overwritten on acquire.
-    event.detail = None  # type: ignore[assignment]
 
 
 def _fill(scratch: TraceEvent, row: tuple, etype: str) -> None:
@@ -89,81 +89,27 @@ def _startswith_mss(host_id: str) -> bool:
     return host_id.startswith("mss")
 
 
-class _Entry:
-    """Compiled dispatch state for one event type.
-
-    ``targets`` is an ordered tuple of ``(on_event, suffixes, sampled)``
-    triples preserving the pre-compilation delivery order (explicit
-    interests in registration order, then wildcards), so a run at
-    ``sample_rate=1.0`` is byte-identical to the uncompiled hub.
-    """
-
-    __slots__ = (
-        "targets",
-        "filtered",
-        "always",
-        "gate_suffixes",
-        "has_sampled",
-        "stride",
-        "counter",
-    )
-
-    def __init__(
-        self,
-        targets: Tuple[Tuple[Any, Optional[Tuple[str, ...]], bool], ...],
-        filtered: bool,
-        stride: int,
-    ) -> None:
-        self.targets = targets
-        self.filtered = filtered
-        #: at least one target is unconditional (no gate, not sampled),
-        #: so the event object is always needed.
-        self.always = any(
-            suffixes is None and not sampled
-            for _, suffixes, sampled in targets
-        )
-        gate: Tuple[str, ...] = ()
-        for _, suffixes, _ in targets:
-            if suffixes:
-                gate += suffixes
-        #: union of every target's kind-suffix gate; used to decide
-        #: whether a skipped-sample event still needs constructing.
-        self.gate_suffixes: Optional[Tuple[str, ...]] = gate or None
-        self.has_sampled = any(sampled for _, _, sampled in targets)
-        self.stride = stride
-        #: countdown cell; primed at 1 so the first occurrence of every
-        #: etype is always delivered.
-        self.counter = [1]
-
-
 class MonitorHub(Tracer):
-    """A tracer that evaluates invariant monitors online.
+    """A tracer that evaluates invariant monitors over a drained ledger.
 
-    Monitors are pure observers fed from :meth:`emit` (online) or
-    :meth:`dispatch` (offline replay).  The hub aggregates their
-    violations and exposes one ``finalize()``/``ok``/``report()``
-    surface for tests, the facade, and the CLI.
+    Monitors are pure observers fed from ledger drains, whether the
+    rows come from the live run (:meth:`emit` and the call-site
+    appenders) or from a recorded trace (:meth:`ingest_events`).  The
+    hub aggregates their violations and exposes one
+    ``finalize()``/``ok``/``report()`` surface for tests, the facade,
+    and the CLI.
 
     Args:
         scheduler: clock source (``None`` for offline replay).
         monitors: the monitor instances to drive.
         record: keep the full event list (tracer behaviour) or drop
-            events after dispatch (bounded memory).
-        sample_rate: fraction of high-rate events delivered to
-            ``samplable`` monitors — realized as a deterministic
-            per-etype stride of ``round(1/sample_rate)``.  ``1.0``
-            (default) delivers everything.
+            events after replay (bounded memory).
         etype_filters: event types dropped entirely (not recorded, not
-            dispatched; ids still allocated).
-        batch: run the batched-exact tier — emits append fixed-shape
-            rows to per-etype ledgers (:mod:`repro.obs.ledger`) and
-            the monitors consume them in drained batches with
-            per-event semantics intact.  Mutually exclusive with
-            sampling (``sample_rate`` must stay 1.0): batching keeps
-            every event, sampling thins them.
-        drain_interval: sim-time quantum between ledger drains in
-            batched mode (drains also trigger on segment fill and
-            always before ``finalize``/``report``/``violations``).
+            replayed; ids still allocated).
+        mode: drain cadence -- ``"batched"`` (per ``drain_interval``
+            or full segment) or ``"event"`` (after every row).
+        drain_interval: sim-time quantum between drains in batched
+            mode.
     """
 
     def __init__(
@@ -171,41 +117,20 @@ class MonitorHub(Tracer):
         scheduler,
         monitors: Sequence[Monitor],
         record: bool = True,
-        sample_rate: float = 1.0,
         etype_filters: Sequence[str] = (),
-        batch: bool = False,
+        mode: str = "batched",
         drain_interval: float = 50.0,
     ) -> None:
         super().__init__(scheduler)
-        if not 0.0 < sample_rate <= 1.0:
+        if mode not in MODES:
             raise ConfigurationError(
-                f"sample_rate must be in (0, 1]: {sample_rate}"
-            )
-        if batch and sample_rate != 1.0:
-            raise ConfigurationError(
-                "batched monitoring is exact by construction; it "
-                "cannot be combined with sample_rate < 1.0"
-            )
-        if batch and not monitors:
-            raise ConfigurationError(
-                "batched monitoring needs at least one monitor"
+                f"monitor mode must be one of {MODES}: {mode!r}"
             )
         self.record = record
-        self.sample_rate = sample_rate
-        self.stride = max(1, round(1.0 / sample_rate))
         self.etype_filters = frozenset(etype_filters)
         self.monitors: List[Monitor] = list(monitors)
         self.network = None
         self._finalized = False
-        self._table: Dict[str, _Entry] = {}
-        self._event_pool = Pool(
-            _blank_event,
-            reset=_reset_event,
-            capacity=64,
-            name="monitor.trace_events",
-        )
-        # -- batched-tier state (cheap to carry when off) --------------
-        self._batch = batch
         self.drain_interval = float(drain_interval)
         self.timers = WallTimers()
         #: ledger drains performed / rows replayed, for /invariants.
@@ -223,7 +148,8 @@ class MonitorHub(Tracer):
         #: place and cleared, never swapped -- appender closures bind
         #: the list object directly.
         self._ledger: List[tuple] = []
-        self._segment_cap = 8192
+        #: rows per segment; a segment of one drains after every row.
+        self._segment_cap = 1 if mode == "event" else 8192
         self._drain_due = self.drain_interval
         self._draining = False
         self._scratch = _blank_event()
@@ -239,8 +165,7 @@ class MonitorHub(Tracer):
         self._liveness_step = 0.0
         self._fifo = None
         self._rel = None
-        if batch:
-            self._detect_fast_layout()
+        self._detect_fast_layout()
 
     # -- wiring -------------------------------------------------------
     def bind(self, network) -> None:
@@ -256,38 +181,7 @@ class MonitorHub(Tracer):
                 return monitor
         return None
 
-    # -- dispatch-table compilation -----------------------------------
-    def _compile(self, etype: str) -> _Entry:
-        """Resolve, once, how events of ``etype`` are delivered."""
-        ordered: List[Monitor] = [
-            m
-            for m in self.monitors
-            if m.interests is not None and etype in m.interests
-        ]
-        ordered += [m for m in self.monitors if m.interests is None]
-        sampling = self.stride > 1
-        targets = []
-        for monitor in ordered:
-            suffixes = (
-                monitor.kind_gates.get(etype) if monitor.kind_gates else None
-            )
-            # A kind-gated target is never sampled: the gate already
-            # narrows it to the exact kinds its state machine consumes
-            # (kind-scoped analogue of critical_etypes).
-            sampled = (
-                sampling
-                and monitor.samplable
-                and suffixes is None
-                and etype not in monitor.critical_etypes
-            )
-            targets.append((monitor.on_event, suffixes, sampled))
-        entry = _Entry(
-            tuple(targets), etype in self.etype_filters, self.stride
-        )
-        self._table[etype] = entry
-        return entry
-
-    # -- batched tier: compilation ------------------------------------
+    # -- compilation --------------------------------------------------
     def _detect_fast_layout(self) -> None:
         """Decide whether drained batches may use the inline folds."""
         from repro.monitor.health import HealthMonitor
@@ -321,7 +215,7 @@ class MonitorHub(Tracer):
                     self._rel = monitor
 
     def _compile_site(self, etype: str) -> LedgerSite:
-        """Resolve, once, how batched rows of ``etype`` are replayed."""
+        """Resolve, once, how ledger rows of ``etype`` are replayed."""
         ordered: List[Monitor] = [
             m
             for m in self.monitors
@@ -383,12 +277,11 @@ class MonitorHub(Tracer):
         is checked only on the :meth:`emit` path and before any
         observation; drain cadence is semantically invisible, so the
         hottest sites skip the clock comparison.)  Returns ``None``
-        when the hub is not batched -- or when it is recording, where
-        sites must go through :meth:`emit` so rows keep the full
-        detail payload the materialized trace needs -- and callers
-        fall back to the gate/emit paths.
+        when the hub is recording -- sites must then go through
+        :meth:`emit` so rows keep the full detail payload the
+        materialized trace needs.
         """
-        if not self._batch or self.record:
+        if self.record:
             return None
         site = self._sites.get(etype)
         if site is None:
@@ -483,7 +376,7 @@ class MonitorHub(Tracer):
 
         return append
 
-    # -- batched tier: drain ------------------------------------------
+    # -- drain --------------------------------------------------------
     def drain_batches(self) -> int:
         """Replay every pending ledger row through the monitors.
 
@@ -495,7 +388,7 @@ class MonitorHub(Tracer):
         Returns the number of rows replayed.  Reentrant calls (a
         monitor running inside the replay) are no-ops.
         """
-        if not self._batch or self._draining:
+        if self._draining:
             return 0
         rows = self._ledger
         if self.scheduler is not None:
@@ -522,8 +415,8 @@ class MonitorHub(Tracer):
 
     def consume_batch(self, rows: Sequence[tuple]) -> None:
         """Replay one ordered batch of ledger rows with per-event
-        semantics (delivery order, trace ids, violation attribution
-        all match the per-event dispatch path)."""
+        semantics (delivery order, trace ids and violation attribution
+        match delivering each event on its own)."""
         if self._fast_consume and not self.record:
             self._consume_fast(rows)
         else:
@@ -581,7 +474,7 @@ class MonitorHub(Tracer):
             scratch.detail = None  # type: ignore[assignment]
 
     def _consume_fast(self, rows: Sequence) -> None:
-        """The standard-layout replay loop, tuned for the ≤1.10x gate.
+        """The standard-layout replay loop.
 
         Rows are either 10-tuples or bare floats (plain ticking sends:
         just the timestamp -- see :meth:`call_site_batch`).  Tuple
@@ -597,7 +490,7 @@ class MonitorHub(Tracer):
         (explicit targets, then liveness, then health) exactly.
         Violation-bearing rows take the slow path (a scratch build plus
         the monitor's own ``on_event``), so violation messages and
-        attribution stay byte-identical with per-event dispatch.
+        attribution stay byte-identical with a generic replay.
 
         Two loop variants share that structure.  Timestamps are
         nondecreasing, so every consecutive event gap in the batch is
@@ -961,18 +854,13 @@ class MonitorHub(Tracer):
         liveness._last_event_time = last_time
         scratch.detail = None  # type: ignore[assignment]
 
+
     def ingest_events(self, events: Iterable[TraceEvent]) -> int:
-        """Offline batched replay: append recorded events as ledger
-        rows (keeping their original ids, parents and timestamps) and
+        """Offline replay: append recorded events as ledger rows
+        (keeping their original ids, parents and timestamps) and
         drain.  Events are replayed in the given order -- recorded
         traces are already in emission order, exactly like the online
-        shared segment.  The batched analogue of :meth:`dispatch`-based
-        replay, used by :func:`replay_events_batched` and the
-        equivalence gate."""
-        if not self._batch:
-            raise ConfigurationError(
-                "ingest_events requires a batched hub"
-            )
+        shared segment.  Used by :func:`replay_events`."""
         ledger = self._ledger
         count = 0
         for event in events:
@@ -992,103 +880,6 @@ class MonitorHub(Tracer):
         self.drain_batches()
         return count
 
-    # -- call-site gates ----------------------------------------------
-    def call_site_gate(self, etype):
-        """Compiled skip-gate for one hot instrumentation point.
-
-        Returns ``(counter_cell, stride, kind_suffixes)`` when the
-        caller may resolve the sampling cadence *before* paying for the
-        emit call, or ``None`` when events of ``etype`` must always be
-        emitted (recording is on, sampling is off, or some monitor
-        listens unconditionally).  The caller decrements the shared
-        counter cell once per occurrence; on a due tick it resets the
-        cell to ``stride`` and calls :meth:`emit_gated` with
-        ``due=True``; on a kind-suffix match it calls with
-        ``due=False``; otherwise it skips the event entirely -- no
-        event id is allocated, and any ``trace_id`` it would have
-        stamped must be cleared so stale ids can never masquerade as
-        causal parents.  Ids in a gated run are therefore *not*
-        comparable with an unsampled run's; at ``sample_rate=1.0`` no
-        gate is handed out, which keeps full runs byte-identical.
-        """
-        if self.record or self.stride <= 1:
-            return None
-        entry = self._table.get(etype)
-        if entry is None:
-            entry = self._compile(etype)
-        if entry.always:
-            return None
-        return (entry.counter, entry.stride, entry.gate_suffixes or ())
-
-    def emit_gated(
-        self,
-        etype: str,
-        due: bool,
-        *,
-        scope: str = "default",
-        category: Optional[str] = None,
-        src: Optional[str] = None,
-        dst: Optional[str] = None,
-        kind: Optional[str] = None,
-        parent: Optional[int] = None,
-        **detail: Any,
-    ) -> int:
-        """Deliver one event whose cadence a call-site gate resolved.
-
-        The counter cell was already ticked by the caller, so this path
-        performs no cadence bookkeeping: it constructs the (pooled)
-        event and runs the delivery loop with the caller's ``due``.
-        """
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        event_id = self._next_id
-        self._next_id = event_id + 1
-        entry = self._table.get(etype)
-        if entry is None:  # pragma: no cover - gates imply compiled
-            entry = self._compile(etype)
-        if entry.filtered:
-            return event_id
-        pool = self._event_pool
-        if pool._outstanding is None:
-            # Inline Pool.acquire (debug tracking off): one event per
-            # delivered emit makes the method call itself measurable.
-            free = pool._free
-            if free:
-                event = free.pop()
-                pool.reused += 1
-            else:
-                event = _blank_event()
-                pool.created += 1
-        else:
-            event = pool.acquire()
-        event.id = event_id
-        event.parent_id = parent
-        event.time = self.scheduler.now
-        event.etype = etype
-        event.scope = scope
-        event.category = category
-        event.src = src
-        event.dst = dst
-        event.kind = kind
-        event.detail = detail
-        for on_event, suffixes, sampled in entry.targets:
-            if sampled and not due:
-                continue
-            if suffixes is not None and (
-                kind is None or not kind.endswith(suffixes)
-            ):
-                continue
-            on_event(event)
-        if pool._outstanding is None:
-            event.detail = None  # type: ignore[assignment]
-            pool.released += 1
-            free = pool._free
-            if len(free) < pool.capacity:
-                free.append(event)
-        else:
-            pool.release(event)
-        return event_id
-
     # -- online path --------------------------------------------------
     def emit(
         self,
@@ -1102,156 +893,38 @@ class MonitorHub(Tracer):
         parent: Optional[int] = None,
         **detail: Any,
     ) -> int:
-        # The event id is always allocated -- even for filtered or
-        # skipped events -- so parent-id causality chains are identical
-        # across every sampling/filtering configuration.
+        # The event id is always allocated -- even for filtered events
+        # -- so parent-id causality chains are identical across every
+        # filtering configuration.  The hottest sites bypass this
+        # method via call_site_batch.
         if parent is None and self._stack:
             parent = self._stack[-1]
         event_id = self._next_id
         self._next_id = event_id + 1
-        if self._batch:
-            # Batched tier: append one ledger row and return.  Every
-            # emit module in the tree goes through here unchanged; the
-            # hottest sites bypass even this via call_site_batch.
-            site = self._sites.get(etype)
-            if site is None:
-                site = self._compile_site(etype)
-            if site.filtered:
-                return event_id
-            rows = self._ledger
-            now = self.scheduler.now
-            rows.append((
-                event_id, parent, now, scope, src, dst, kind,
-                detail if detail else None, category, site,
-            ))
-            if len(rows) >= self._segment_cap or now >= self._drain_due:
-                self.drain_batches()
+        site = self._sites.get(etype)
+        if site is None:
+            site = self._compile_site(etype)
+        if site.filtered:
             return event_id
-        entry = self._table.get(etype)
-        if entry is None:
-            entry = self._compile(etype)
-        if entry.filtered:
-            return event_id
-        due = True
-        if entry.has_sampled:
-            counter = entry.counter
-            counter[0] -= 1
-            if counter[0] <= 0:
-                counter[0] = entry.stride
-            else:
-                due = False
-        record = self.record
-        if not record and not entry.always:
-            # No unconditional listener: the event object is only
-            # needed if a sampled tick is due or a kind gate matches.
-            needed = due and entry.has_sampled
-            if not needed:
-                gate = entry.gate_suffixes
-                needed = (
-                    gate is not None
-                    and kind is not None
-                    and kind.endswith(gate)
-                )
-            if not needed:
-                return event_id
-        if record:
-            event = TraceEvent(
-                id=event_id,
-                parent_id=parent,
-                time=self.scheduler.now,
-                etype=etype,
-                scope=scope,
-                category=category,
-                src=src,
-                dst=dst,
-                kind=kind,
-                detail=detail,
-            )
-            self.events.append(event)
-        else:
-            pool = self._event_pool
-            if pool._outstanding is None:
-                # Inline Pool.acquire (debug off) -- see emit_gated.
-                free = pool._free
-                if free:
-                    event = free.pop()
-                    pool.reused += 1
-                else:
-                    event = _blank_event()
-                    pool.created += 1
-            else:
-                event = pool.acquire()
-            event.id = event_id
-            event.parent_id = parent
-            event.time = self.scheduler.now
-            event.etype = etype
-            event.scope = scope
-            event.category = category
-            event.src = src
-            event.dst = dst
-            event.kind = kind
-            event.detail = detail
-        for on_event, suffixes, sampled in entry.targets:
-            if sampled and not due:
-                continue
-            if suffixes is not None and (
-                kind is None or not kind.endswith(suffixes)
-            ):
-                continue
-            on_event(event)
-        if not record:
-            if pool._outstanding is None:
-                event.detail = None  # type: ignore[assignment]
-                pool.released += 1
-                free = pool._free
-                if len(free) < pool.capacity:
-                    free.append(event)
-            else:
-                pool.release(event)
+        rows = self._ledger
+        now = self.scheduler.now
+        rows.append((
+            event_id, parent, now, scope, src, dst, kind,
+            detail if detail else None, category, site,
+        ))
+        if len(rows) >= self._segment_cap or now >= self._drain_due:
+            self.drain_batches()
         return event_id
-
-    # -- offline path -------------------------------------------------
-    def dispatch(self, event: TraceEvent) -> None:
-        """Feed one (recorded) event to the interested monitors.
-
-        Uses the same compiled table (gates, sampling strides, filters)
-        as the online path, so online and replayed runs of the same
-        hub configuration deliver the same event subsequence.
-        """
-        etype = event.etype
-        entry = self._table.get(etype)
-        if entry is None:
-            entry = self._compile(etype)
-        if entry.filtered:
-            return
-        due = True
-        if entry.has_sampled:
-            counter = entry.counter
-            counter[0] -= 1
-            if counter[0] <= 0:
-                counter[0] = entry.stride
-            else:
-                due = False
-        kind = event.kind
-        for on_event, suffixes, sampled in entry.targets:
-            if sampled and not due:
-                continue
-            if suffixes is not None and (
-                kind is None or not kind.endswith(suffixes)
-            ):
-                continue
-            on_event(event)
 
     # -- reporting ----------------------------------------------------
     def finalize(self, at: Optional[float] = None) -> None:
         """Run every monitor's end-of-run checks (idempotent).
 
-        A batched hub drains its ledgers first, so no event is ever
-        finalized past."""
+        The ledger is drained first, so no event is ever finalized
+        past."""
         if self._finalized:
             return
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         self._finalized = True
         if at is None:
             at = self.scheduler.now if self.scheduler is not None else 0.0
@@ -1260,8 +933,7 @@ class MonitorHub(Tracer):
 
     @property
     def violations(self) -> List[Violation]:
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         out: List[Violation] = []
         for monitor in self.monitors:
             out.extend(monitor.violations)
@@ -1270,14 +942,12 @@ class MonitorHub(Tracer):
 
     @property
     def ok(self) -> bool:
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         return all(monitor.ok for monitor in self.monitors)
 
     def report(self) -> str:
         """A human-readable per-monitor summary."""
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         lines = ["invariant monitors"]
         for monitor in self.monitors:
             n = len(monitor.violations)
@@ -1293,42 +963,19 @@ def replay_events(
     monitors: Sequence[Monitor],
     network=None,
     finalize: bool = True,
-    sample_rate: float = 1.0,
 ) -> MonitorHub:
     """Run ``monitors`` over a recorded event stream.
 
-    Returns the hub (finalized at the last event's timestamp unless
-    ``finalize=False``).  Pass the live ``network`` when available so
-    ground-truth checks (location-view membership, per-MSS load) run;
-    without it those checks are skipped, never wrong.
+    The events become ledger rows (original ids, parents and
+    timestamps preserved) and the monitors consume drained batches --
+    the same pipeline as an online run.  Returns the hub (finalized at
+    the last event's timestamp unless ``finalize=False``).  Pass the
+    live ``network`` when available so ground-truth checks
+    (location-view membership, per-MSS load) run; without it those
+    checks are skipped, never wrong.
     """
-    hub = MonitorHub(None, monitors, record=False, sample_rate=sample_rate)
-    if network is not None:
-        hub.bind(network)
-    last_time = 0.0
-    for event in events:
-        hub.dispatch(event)
-        last_time = event.time
-    if finalize:
-        hub.finalize(at=last_time)
-    return hub
-
-
-def replay_events_batched(
-    events: Sequence[TraceEvent],
-    monitors: Sequence[Monitor],
-    network=None,
-    finalize: bool = True,
-) -> MonitorHub:
-    """Run ``monitors`` over a recorded stream through the batched
-    tier: events become ledger rows (original ids, parents and
-    timestamps preserved) and the monitors consume drained batches.
-
-    The equivalence gate replays every canonical scenario through both
-    this and :func:`replay_events` and asserts identical violations,
-    reports and health series (ROADMAP item 3).
-    """
-    hub = MonitorHub(None, monitors, record=False, batch=True)
+    events = list(events)
+    hub = MonitorHub(None, monitors, record=False)
     if network is not None:
         hub.bind(network)
     hub.ingest_events(events)

@@ -129,7 +129,7 @@ class L2Mutex:
         #: mh_id -> (grant, scheduled exit) while inside the region, so
         #: a MH crash can vacate the CS instead of wedging the system.
         self._active: Dict[str, Tuple[GrantPayload, object]] = {}
-        # Batched hubs hand out ledger appenders for the CS transition
+        # Monitor hubs hand out ledger appenders for the CS transition
         # events (see MonitorHub.call_site_batch); the tracer is
         # installed before protocols attach, so resolving them once
         # here mirrors Network._refresh_fast_paths.

@@ -1,10 +1,9 @@
 """Batched observability: exact monitoring off the hot path.
 
 The paper's two-tier cost argument (ICDCS 1994) is certified by the
-invariant monitors in :mod:`repro.monitor`; this package takes their
-per-event dispatch off the simulation's hot path without losing a
-single event (ROADMAP item 3's "<10% observability" target) and runs
-the result as a long-lived telemetry service (ROADMAP item 5):
+invariant monitors in :mod:`repro.monitor`; this package keeps their
+dispatch off the simulation's hot path without losing a single event
+and runs the result as a long-lived telemetry service:
 
 * :mod:`repro.obs.ledger` -- the append-only per-etype ledger segments
   hot emit sites write fixed-shape row tuples into, drained in batch
@@ -16,9 +15,9 @@ the result as a long-lived telemetry service (ROADMAP item 5):
   behind ``repro serve``: ``/metrics`` (Prometheus text), ``/health``
   and ``/invariants`` (rolling certification from the drain pass).
 
-Select the batched tier with ``Simulation(monitors=True,
-monitor_mode="batched")``; see ``docs/observability.md`` for the three
-fidelity tiers and the measured overhead of each.
+Every ``Simulation(monitors=True)`` runs on this pipeline;
+``docs/observability.md`` describes the drain cadences and the
+measured overhead.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Append-only event ledgers: the batched tier's hot-path half.
+"""Append-only event ledgers: the monitor pipeline's hot-path half.
 
-One :class:`LedgerSite` exists per event type in a batched
+One :class:`LedgerSite` exists per event type in a
 :class:`~repro.monitor.hub.MonitorHub`.  Hot emit sites (the network
 send/deliver paths, MSS handoff, mutex CS transitions, the reliable
 transport) append one fixed-shape row tuple per event to the site's
@@ -19,8 +19,8 @@ A row is the 10-tuple::
 Slot 0 carries the hub-allocated event id.  The site object rides in
 the last slot so the consume loop recovers the compiled dispatch plan
 (and its ``mode`` specialization) without a dict lookup.
-Part of the batched observability pipeline (ROADMAP item 3: exact
-monitors off the hot path).
+Part of the exact monitor pipeline (ROADMAP item 3: exact monitors
+off the hot path).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def liveness_code(etype: str) -> int:
 
 
 class LedgerSite:
-    """Compiled per-etype state for the batched tier.
+    """Compiled per-etype state for the monitor ledger.
 
     Holds everything the consume loop needs to replay a row with
     per-event semantics: the full ordered target

@@ -52,7 +52,6 @@ def _make_sim(n_mss: int, n_mh: int, seed: int, **kwargs) -> Simulation:
 def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
                   request_rate: float = 0.05, move_rate: float = 0.02,
                   monitors=None, scheduler: str = "heap",
-                  monitor_sampling=None, monitor_mode: str = "event",
                   capture_timing: bool = False) -> int:
     """The ``bench_scale.py`` workload: L2 mutex traffic plus mobility.
 
@@ -62,16 +61,14 @@ def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
     scheduler, and the metrics counters together.  With ``monitors``
     set, the same workload runs under the online invariant monitors
     (which must not change the event count -- only the wall time), so
-    the harness prices the monitoring overhead directly --
-    ``monitor_mode="batched"`` prices the ledger/drain pipeline the
-    same way.  ``capture_timing`` additionally instruments the network
+    the harness prices the monitoring overhead directly.
+    ``capture_timing`` additionally instruments the network
     send paths and publishes the per-subsystem wall-time split for the
     harness to attach to the BENCH record (costs a ``perf_counter``
     pair per message, so only ``smoke_ledger`` opts in).
     """
     sim = _make_sim(n_mss, n_mh, seed=3, monitors=monitors,
-                    scheduler=scheduler, monitor_sampling=monitor_sampling,
-                    monitor_mode=monitor_mode)
+                    scheduler=scheduler)
     if capture_timing:
         from repro.obs import instrument_network
         from repro.obs.timing import publish_run
@@ -97,6 +94,32 @@ def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
     if capture_timing:
         publish_run(sim.monitor_hub.timers.snapshot())
     return sim.scheduler.events_processed
+
+
+def monitored_l2_run(monitor_mode: str = "batched",
+                     seed: int = 3) -> Simulation:
+    """The canonical monitored L2 run, finalized and returned.
+
+    Four MSSs, sixteen wandering MHs, L2 mutex traffic until t=600.
+    The drain-cadence gate (``tools/check_batched_equivalence.py``),
+    ``tests/test_obs_equivalence.py`` and the pinned verdicts in
+    ``tests/golden/monitor_verdicts.json`` all check this one run.
+    """
+    sim = Simulation(n_mss=4, n_mh=16, seed=seed, monitors=True,
+                     monitor_mode=monitor_mode)
+    mutex = L2Mutex(sim.network, CriticalResource(sim.scheduler),
+                    cs_duration=0.3)
+    workload = MutexWorkload(sim.network, mutex, sim.mh_ids,
+                             request_rate=0.05,
+                             rng=random.Random(seed + 1))
+    mobility = UniformMobility(sim.network, sim.mh_ids, 0.02,
+                               rng=random.Random(seed + 2))
+    sim.run(until=600.0)
+    workload.stop()
+    mobility.stop()
+    sim.drain()
+    sim.monitor_hub.finalize()
+    return sim
 
 
 def search_messaging(n_mss: int, n_mh: int, duration: float = 120.0,
@@ -376,15 +399,6 @@ _register(Scenario(
     tags=("mutex", "mobility", "scheduler", "smoke"),
 ))
 _register(Scenario(
-    name="smoke_monitors_sampled",
-    description="the smoke_monitors workload with monitor sampling at "
-                "the default rate (prices sampled observability)",
-    run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_sampling=True),
-    smoke=True,
-    tags=("mutex", "mobility", "monitor", "smoke"),
-))
-_register(Scenario(
     name="smoke_full_stack",
     description="the smoke_monitors workload with the whole perf stack "
                 "on at once: calendar queue, free-list pools, batched "
@@ -392,7 +406,6 @@ _register(Scenario(
                 "smoke_calendar and smoke_monitors by the obs-overhead "
                 "CI job -- see tools/check_obs_overhead.py)",
     run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_mode="batched",
                               scheduler="calendar"),
     smoke=True,
     tags=("mutex", "monitor", "scheduler", "obs", "smoke"),
@@ -404,7 +417,6 @@ _register(Scenario(
                 "(scheduler/network/drain/monitor wall split in "
                 "subsystem_wall_s)",
     run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_mode="batched",
                               capture_timing=True),
     smoke=True,
     tags=("mutex", "monitor", "obs", "smoke"),
@@ -416,8 +428,8 @@ _register(Scenario(
     run=lambda: loaded_system(6, 40, 2000.0),
     smoke=True,
     tags=("mutex", "pool", "smoke"),
-    # The pools bound their free lists (scheduler events 4096, trace
-    # events 64, rel acks 256), so steady-state retention must stay
+    # The pools bound their free lists (scheduler events 4096, rel
+    # acks 256), so steady-state retention must stay
     # tiny relative to the ~500k events this workload fires.
     max_retained_blocks_per_kevent=500.0,
 ))

@@ -26,9 +26,8 @@ not production runs.
 
 Pooling is only safe when the release site provably owns the last
 reference.  The scheduler therefore recycles only events posted via
-the handle-free ``post()``/``post_at()`` API, and the monitor hub only
-recycles trace events in ``record=False`` mode (monitors never retain
-event objects — see ``docs/observability.md``).
+the handle-free ``post()``/``post_at()`` API, and the reliable
+transport only its own ack envelopes.
 """
 
 from __future__ import annotations

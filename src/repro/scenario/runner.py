@@ -78,7 +78,7 @@ class _Run:
     """Mutable state for one scenario execution."""
 
     def __init__(self, spec: ScenarioSpec, seed: int,
-                 monitor_mode: str = "event") -> None:
+                 monitor_mode: str = "batched") -> None:
         self.spec = spec
         self.seed = seed
         monitors = spec.monitors
@@ -514,16 +514,16 @@ class _Run:
 
 def run_scenario(spec: ScenarioSpec,
                  seed: Optional[int] = None,
-                 monitor_mode: str = "event") -> ScenarioResult:
+                 monitor_mode: str = "batched") -> ScenarioResult:
     """Execute one scenario and return its result.
 
     Args:
         spec: a validated scenario.
         seed: override for the spec's own seed (certification sweeps).
-        monitor_mode: monitor dispatch strategy forwarded to
-            :class:`Simulation` -- ``"batched"`` runs the same exact
-            monitors through the ledger/drain pipeline (the
-            equivalence gate exercises both).
+        monitor_mode: monitor ledger drain cadence forwarded to
+            :class:`Simulation` -- ``"batched"`` (default) or
+            ``"event"`` (drain after every row); the equivalence gate
+            checks that both give the same report.
     """
     seed = spec.seed if seed is None else seed
     started = time.perf_counter()

@@ -240,37 +240,27 @@ def test_reliable_transport_masks_the_duplicating_link():
 
 
 # ---------------------------------------------------------------------
-# sampled hub at rate 1.0 -- mutation-equivalent to the full hub
+# drain-every-row mode -- mutation-equivalent to the quantum default
 # ---------------------------------------------------------------------
 
-def test_sampled_hub_rate_one_catches_the_overlap_mutant():
-    """At sample rate 1.0 the gated dispatch must degrade to the full
-    hub: the seeded exclusivity bug is still caught."""
+def test_event_mode_catches_the_overlap_mutant():
+    """Draining the ledger after every row must reach the same
+    verdicts as the default quantum drains."""
     invariants = finalized_invariants(
-        run_overlap(OverlappingR2, monitor_sampling=1.0))
+        run_overlap(OverlappingR2, monitor_mode="event"))
     assert "mutex.exclusivity" in invariants
     assert "mutex.exit_mismatch" in invariants
 
 
-def test_sampled_hub_rate_one_stays_silent_on_correct_r2():
+def test_event_mode_stays_silent_on_correct_r2():
     assert finalized_invariants(
-        run_overlap(R2Mutex, monitor_sampling=1.0)) == set()
+        run_overlap(R2Mutex, monitor_mode="event")) == set()
 
 
-def test_sampled_hub_rate_one_catches_the_duplicating_link():
+def test_event_mode_catches_the_duplicating_link():
     invariants = finalized_invariants(
-        run_duplicating_link(False, monitor_sampling=1.0))
+        run_duplicating_link(False, monitor_mode="event"))
     assert "channel.fifo" in invariants
-
-
-def test_sampled_hub_aggressive_rate_still_catches_exact_invariants():
-    """Exclusivity is an *exact* monitor (``samplable = False``): the
-    compiler marks its event types must-deliver, so even an
-    aggressively sampled hub (rate 0.01) cannot miss the seeded bug.
-    (Samplable monitors such as fifo-order may legitimately miss
-    violations under sampling -- that is the documented trade.)"""
-    assert "mutex.exclusivity" in finalized_invariants(
-        run_overlap(OverlappingR2, monitor_sampling=0.01))
 
 
 class LeakyReliable(ReliableTransport):

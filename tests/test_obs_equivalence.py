@@ -1,27 +1,29 @@
-"""Batched-vs-per-event equivalence: the tentpole's correctness gate.
+"""Drain-cadence equivalence: the monitor pipeline's correctness gate.
 
-``monitor_mode="batched"`` must preserve per-event semantics exactly
-(ROADMAP item 3): the same violations with the same attribution, the
-same monitor reports, the same health gauge series.  These tests pin
-that equivalence on the canonical loaded-system workload and on the
-certified chaos pack across the certification seeds (7/19/42), the
-acceptance criteria of the batched observability pipeline.
+There is one exact monitor pipeline; its only choice is how often the
+ledger drains.  Quantum drains (``monitor_mode="batched"``, the
+default) must give exactly what draining after every row
+(``monitor_mode="event"``) gives (ROADMAP item 3): the same violations
+with the same attribution, the same monitor reports, the same health
+gauge series.  These tests pin that equivalence on the canonical
+loaded-system workload and on the certified chaos pack across the
+certification seeds (7/19/42).
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.facade import Simulation
 from repro.monitor import MonitorHub, default_monitors
-from repro.mutex import CriticalResource, L2Mutex
+from repro.perf.scenarios import monitored_l2_run
 from repro.scenario import builtin_registry, run_scenario
 from repro.trace.events import TraceEvent
-from repro.workload import MutexWorkload
-
-SEEDS = (7, 19, 42)
+from test_monitor_verdicts_golden import (
+    SEEDS,
+    golden_section,
+    pack_entry,
+    serialize,
+)
 
 
 def _scrub(report):
@@ -31,31 +33,10 @@ def _scrub(report):
     return report
 
 
-def _loaded_run(monitor_mode: str, seed: int = 3):
-    sim = Simulation(n_mss=4, n_mh=16, seed=seed, monitors=True,
-                     monitor_mode=monitor_mode)
-    resource = CriticalResource(sim.scheduler)
-    mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
-    workload = MutexWorkload(sim.network, mutex, sim.mh_ids,
-                             request_rate=0.05,
-                             rng=random.Random(seed + 1))
-    mobility_rng = random.Random(seed + 2)
-    from repro.mobility import UniformMobility
-
-    mobility = UniformMobility(sim.network, sim.mh_ids, 0.02,
-                               rng=mobility_rng)
-    sim.run(until=600.0)
-    workload.stop()
-    mobility.stop()
-    sim.drain()
-    sim.monitor_hub.finalize()
-    return sim
-
-
 class TestCanonicalEquivalence:
     def test_loaded_system_reports_match(self):
-        event = _loaded_run("event")
-        batched = _loaded_run("batched")
+        event = monitored_l2_run("event")
+        batched = monitored_l2_run("batched")
         assert event.monitor_hub.report() == batched.monitor_hub.report()
         assert event.scheduler.events_processed == \
             batched.scheduler.events_processed
@@ -63,12 +44,13 @@ class TestCanonicalEquivalence:
     def test_loaded_system_health_series_match(self):
         """Sample times and every exact counter are identical; only
         the instantaneous ground-truth gauges (scheduler depth, cell
-        load) are read at drain time instead of emit time, a staleness
-        bounded by the drain quantum (docs/observability.md)."""
+        load) are read at the quantum drain instead of at the emitting
+        row, a staleness bounded by the drain quantum
+        (docs/observability.md)."""
         from repro.monitor.health import HealthMonitor
 
-        event = _loaded_run("event")
-        batched = _loaded_run("batched")
+        event = monitored_l2_run("event")
+        batched = monitored_l2_run("batched")
         h_event = event.monitor_hub.monitor(HealthMonitor).samples
         h_batched = batched.monitor_hub.monitor(HealthMonitor).samples
         assert len(h_event) == len(h_batched)
@@ -97,40 +79,47 @@ class TestCanonicalEquivalence:
             hub.finalize()
             return [str(v) for m in hub.monitors for v in m.violations]
 
-        per_event = feed(MonitorHub(None, default_monitors()))
-        batched = feed(MonitorHub(None, default_monitors(), batch=True))
-        assert per_event == batched
-        assert per_event  # the scenario above must actually violate
+        per_row = feed(MonitorHub(None, default_monitors(), mode="event"))
+        batched = feed(MonitorHub(None, default_monitors()))
+        assert per_row == batched
+        assert per_row  # the scenario above must actually violate
 
     def test_trace_ids_match(self):
-        """Event ids allocated by the batched appenders line up with
-        per-event mode (senders stamp them into message.trace_id)."""
-        event = _loaded_run("event")
-        batched = _loaded_run("batched")
+        """Event ids allocated under quantum drains line up with
+        drain-every-row mode (senders stamp them into
+        message.trace_id)."""
+        event = monitored_l2_run("event")
+        batched = monitored_l2_run("batched")
         assert event.monitor_hub._next_id == batched.monitor_hub._next_id
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_pack_equivalence(seed):
     """Every certified chaos scenario produces an identical report
-    (monitors, health series, costs, messages) under both dispatch
-    modes, for each certification seed."""
+    (monitors, health series, costs, messages) under both drain
+    cadences, for each certification seed, and the default cadence
+    reproduces the pinned verdicts byte for byte."""
+    golden = golden_section("pack")[str(seed)]
     registry = builtin_registry()
+    assert sorted(registry.names()) == sorted(golden)
     for name in sorted(registry.names()):
         spec = registry.get(name)
         event = run_scenario(spec, seed=seed, monitor_mode="event")
-        batched = run_scenario(spec, seed=seed, monitor_mode="batched")
+        batched = run_scenario(spec, seed=seed)
         assert _scrub(event.report) == _scrub(batched.report), (
             f"{name} seed={seed} diverges between monitor modes"
         )
         assert event.events == batched.events
+        assert serialize(pack_entry(batched)) == serialize(golden[name]), (
+            f"{name} seed={seed} differs from the golden verdicts"
+        )
 
 
 def test_record_mode_keeps_full_trace():
-    """record=True (tracing) still captures every event in batched
-    mode, in emission order, so exports stay byte-identical."""
-    hub_e = MonitorHub(None, default_monitors(), record=True)
-    hub_b = MonitorHub(None, default_monitors(), record=True, batch=True)
+    """record=True (tracing) captures every event under both drain
+    cadences, in emission order, so exports stay byte-identical."""
+    hub_e = MonitorHub(None, default_monitors(), record=True, mode="event")
+    hub_b = MonitorHub(None, default_monitors(), record=True)
     for hub in (hub_e, hub_b):
         hub.scheduler = type("S", (), {"now": 0.0})()
         for i in range(5):

@@ -1,10 +1,10 @@
-"""Unit tests for the batched ledger mechanics (repro.obs.ledger).
+"""Unit tests for the monitor ledger mechanics (repro.obs.ledger).
 
-The hot-path half of the batched observability pipeline: appender
-closures handed out by :meth:`MonitorHub.call_site_batch`, the shared
-append segment, drain triggers (segment fill / explicit), and the
-counters the ``/invariants`` endpoint reports.  Equivalence with
-per-event dispatch is covered separately in test_obs_equivalence.py.
+The hot-path half of the exact monitor pipeline: appender closures
+handed out by :meth:`MonitorHub.call_site_batch`, the shared append
+segment, drain triggers (segment fill / explicit / every row), and the
+counters the ``/invariants`` endpoint reports.  Equivalence of the two
+drain cadences is covered separately in test_obs_equivalence.py.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class FakeScheduler:
 
 def make_hub(**kwargs):
     kwargs.setdefault("record", False)
-    hub = MonitorHub(None, default_monitors(), batch=True, **kwargs)
+    hub = MonitorHub(None, default_monitors(), **kwargs)
     hub.scheduler = FakeScheduler()
     return hub
 
@@ -48,9 +48,14 @@ class TestEtypeCodes:
 
 
 class TestCallSiteBatch:
-    def test_per_event_hub_hands_out_no_appender(self):
-        hub = MonitorHub(None, default_monitors())
-        assert hub.call_site_batch("recv") is None
+    def test_event_mode_appender_drains_every_row(self):
+        hub = make_hub(mode="event")
+        append = hub.call_site_batch("recv")
+        for i in range(3):
+            append("s", "mss-0", "mss-1", kind="l2.request", parent=None)
+            assert not hub._ledger
+            assert hub.drains == i + 1
+        assert hub.rows_dispatched == 3
 
     def test_record_mode_hands_out_no_appender(self):
         # With record=True every event must become a TraceEvent, so
