@@ -14,10 +14,11 @@ class Timestamp(tuple):
     """A totally ordered Lamport timestamp.
 
     Subclasses ``tuple`` so every comparison is a C-level tuple
-    comparison: the mutex request queue takes a ``min()`` over
-    timestamps on each message arrival, and a Python-level ``__lt__``
-    there dominated whole-simulation profiles.  The order is the same
-    lexicographic ``(counter, node_id)`` the algorithm requires.
+    comparison: the mutex request queue orders its heap rows and checks
+    its grant condition by comparing timestamps on every message
+    arrival, and a Python-level ``__lt__`` there dominated
+    whole-simulation profiles.  The order is the same lexicographic
+    ``(counter, node_id)`` the algorithm requires.
     """
 
     __slots__ = ()

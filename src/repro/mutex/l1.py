@@ -42,9 +42,10 @@ class _MobileTransport(MutexTransport):
     def __init__(self, mutex: "L1Mutex", mh_id: str) -> None:
         self._mutex = mutex
         self._mh_id = mh_id
+        self._peers = tuple(m for m in mutex.mh_ids if m != mh_id)
 
-    def peers(self) -> List[str]:
-        return [m for m in self._mutex.mh_ids if m != self._mh_id]
+    def peers(self) -> Tuple[str, ...]:
+        return self._peers
 
     def send(self, dst: str, kind: str, payload: object) -> None:
         mh = self._mutex.network.mobile_host(self._mh_id)

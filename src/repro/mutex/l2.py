@@ -75,9 +75,10 @@ class _FixedTransport(MutexTransport):
     def __init__(self, mutex: "L2Mutex", mss_id: str) -> None:
         self._mutex = mutex
         self._mss_id = mss_id
+        self._peers = tuple(m for m in mutex.mss_ids if m != mss_id)
 
-    def peers(self) -> List[str]:
-        return [m for m in self._mutex.mss_ids if m != self._mss_id]
+    def peers(self) -> Tuple[str, ...]:
+        return self._peers
 
     def send(self, dst: str, kind: str, payload: object) -> None:
         self._mutex.network.mss(self._mss_id).send_fixed(

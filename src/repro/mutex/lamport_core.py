@@ -17,12 +17,20 @@ Correctness relies on the classic conditions:
   been received from every other participant (FIFO channels make this
   imply that no smaller-stamped request can still be in flight);
 * timestamps are totally ordered ``(counter, node_id)`` pairs.
+
+The queue head is read from a min-heap of ``(ts, origin, tag)`` rows
+kept beside the ``(origin, tag) -> ts`` dict.  The dict stays the
+source of truth: a row is live only while the dict still maps its key
+to its timestamp, and rows that went stale are popped lazily when they
+reach the top.  Timestamps are unique, so the heap order equals the
+order of a ``min()`` over the dict.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.clock import LamportClock, Timestamp
 from repro.errors import ProtocolError
@@ -31,7 +39,7 @@ from repro.errors import ProtocolError
 class MutexTransport:
     """Transport interface the Lamport node sends through."""
 
-    def peers(self) -> List[str]:
+    def peers(self) -> Sequence[str]:
         """Ids of all *other* participants."""
         raise NotImplementedError
 
@@ -78,6 +86,10 @@ class LamportMutexNode:
             request may enter the critical region.
     """
 
+    #: the heap is rebuilt from the queue only past this many stale
+    #: rows, so small queues never pay the rebuild.
+    _COMPACT_MIN = 64
+
     def __init__(
         self,
         node_id: str,
@@ -94,6 +106,8 @@ class LamportMutexNode:
         self.clock = LamportClock(node_id)
         # (origin, tag) -> request timestamp; the distributed queue.
         self._queue: Dict[Tuple[str, str], Timestamp] = {}
+        # (ts, origin, tag) rows over _queue; see the module docstring.
+        self._heap: List[Tuple[Timestamp, str, str]] = []
         # peer -> largest timestamp seen from that peer.
         self._last_seen: Dict[str, Timestamp] = {}
         # own requests currently pending (not yet granted).
@@ -117,7 +131,7 @@ class LamportMutexNode:
                 f"{self.node_id}: request tag {tag!r} already outstanding"
             )
         ts = self.clock.tick()
-        self._queue[(self.node_id, tag)] = ts
+        self._enqueue(self.node_id, tag, ts)
         self._pending[tag] = ts
         payload = RequestPayload(ts, self.node_id, tag)
         for peer in self.transport.peers():
@@ -132,7 +146,7 @@ class LamportMutexNode:
                 f"{self.node_id}: release for tag {tag!r} not held"
             )
         del self._held[tag]
-        self._queue.pop((self.node_id, tag), None)
+        self._dequeue((self.node_id, tag))
         ts = self.clock.tick()
         payload = ReleasePayload(ts, self.node_id, tag)
         for peer in self.transport.peers():
@@ -152,7 +166,7 @@ class LamportMutexNode:
         if tag not in self._pending:
             return
         del self._pending[tag]
-        self._queue.pop((self.node_id, tag), None)
+        self._dequeue((self.node_id, tag))
         ts = self.clock.tick()
         payload = ReleasePayload(ts, self.node_id, tag)
         for peer in self.transport.peers():
@@ -172,6 +186,7 @@ class LamportMutexNode:
             del self._queue[key]
         self._last_seen.pop(origin, None)
         if stale:
+            self._maybe_compact()
             self._check_grants()
         return len(stale)
 
@@ -199,6 +214,7 @@ class LamportMutexNode:
         timestamps that cannot collide with pre-crash ones.
         """
         self._queue.clear()
+        self._heap.clear()
         self._pending.clear()
         self._held.clear()
         self._last_seen.clear()
@@ -211,7 +227,7 @@ class LamportMutexNode:
         """Handle a peer's request: enqueue and reply."""
         self.clock.witness(payload.ts)
         self._note_seen(payload.origin, payload.ts)
-        self._queue[(payload.origin, payload.tag)] = payload.ts
+        self._enqueue(payload.origin, payload.tag, payload.ts)
         reply_ts = self.clock.tick()
         self.transport.send(
             payload.origin,
@@ -230,7 +246,7 @@ class LamportMutexNode:
         """Handle a peer's release: drop its queue entry."""
         self.clock.witness(payload.ts)
         self._note_seen(payload.origin, payload.ts)
-        self._queue.pop((payload.origin, payload.tag), None)
+        self._dequeue((payload.origin, payload.tag))
         self._check_grants()
 
     # ------------------------------------------------------------------
@@ -257,26 +273,54 @@ class LamportMutexNode:
         if current is None or ts > current:
             self._last_seen[origin] = ts
 
-    def _min_queue_entry(self) -> Optional[Tuple[str, str]]:
-        if not self._queue:
-            return None
-        return min(self._queue, key=self._queue.__getitem__)
+    def _enqueue(self, origin: str, tag: str, ts: Timestamp) -> None:
+        self._queue[(origin, tag)] = ts
+        heapq.heappush(self._heap, (ts, origin, tag))
+
+    def _dequeue(self, key: Tuple[str, str]) -> None:
+        if self._queue.pop(key, None) is not None:
+            self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        """Rebuild the heap once stale rows are at least half of it.
+
+        Stale rows normally surface at the top and are popped there,
+        but a held head can sit above them for as long as it is held
+        (a peer that keeps requesting and aborting leaves one behind
+        per cycle).  Every live key has exactly one row unless a
+        request was delivered twice, so ``len(heap) - len(queue)``
+        counts the rows a rebuild drops.  The threshold matches the
+        scheduler's lazy-cancel compaction: at least half, past a
+        floor.  Rebuilding in place keeps aliases valid.
+        """
+        heap = self._heap
+        stale = len(heap) - len(self._queue)
+        if stale > self._COMPACT_MIN and stale * 2 >= len(heap):
+            heap[:] = [
+                (ts, origin, tag) for (origin, tag), ts in self._queue.items()
+            ]
+            heapq.heapify(heap)
 
     def _check_grants(self) -> None:
         # Grant own pending requests, smallest timestamp first, while
         # the grant condition keeps holding.
-        while True:
-            head = self._min_queue_entry()
-            if head is None:
+        pending = self._pending
+        if not pending:
+            return
+        heap = self._heap
+        queue = self._queue
+        node_id = self.node_id
+        while heap:
+            ts, origin, tag = heap[0]
+            if queue.get((origin, tag)) != ts:
+                heapq.heappop(heap)
+                continue
+            if origin != node_id or tag not in pending:
                 return
-            origin, tag = head
-            if origin != self.node_id or tag not in self._pending:
-                return
-            ts = self._pending[tag]
             for peer in self.transport.peers():
                 seen = self._last_seen.get(peer)
                 if seen is None or not seen > ts:
                     return
-            del self._pending[tag]
+            del pending[tag]
             self._held[tag] = ts
             self.on_granted(tag)

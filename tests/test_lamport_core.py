@@ -10,7 +10,7 @@ from collections import deque
 from typing import Dict, List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
@@ -204,3 +204,209 @@ def test_property_safety_and_liveness_under_any_request_order(requests):
         served += 1
         net.pump()
     assert len(grants) == expected
+
+
+def test_stale_heap_rows_stay_bounded_behind_a_held_head():
+    """A held head pins every stale row beneath it; a peer that keeps
+    requesting and aborting (L2's disconnected-MH path) must not grow
+    the heap without bound."""
+    net, ids, grants = build(3)
+    holder = net.nodes["n0"]
+    holder.request("held")
+    net.pump()
+    assert holder.held_tags() == ["held"]
+    # A live request queued behind the head must survive every rebuild.
+    net.nodes["n2"].request("waiting")
+    net.pump()
+    for _ in range(1000):
+        net.nodes["n1"].request("x")
+        net.pump()
+        net.nodes["n1"].abort("x")
+        net.pump()
+        for node in net.nodes.values():
+            assert len(node._heap) <= (
+                2 * node.queue_size + node._COMPACT_MIN
+            )
+    assert grants == ["n0"]
+    holder.release("held")
+    net.pump()
+    assert grants == ["n0", "n2"]
+    net.nodes["n2"].release("waiting")
+    net.pump()
+    assert all(node.queue_size == 0 for node in net.nodes.values())
+
+
+class ScanNode(LamportMutexNode):
+    """Reference node: finds the queue head with a full ``min()`` scan
+    over the queue dict on every check."""
+
+    def _check_grants(self):
+        while True:
+            if not self._queue:
+                return
+            origin, tag = min(self._queue, key=self._queue.__getitem__)
+            if origin != self.node_id or tag not in self._pending:
+                return
+            ts = self._pending[tag]
+            for peer in self.transport.peers():
+                seen = self._last_seen.get(peer)
+                if seen is None or not seen > ts:
+                    return
+            del self._pending[tag]
+            self._held[tag] = ts
+            self.on_granted(tag)
+
+
+class EagerCompactNode(LamportMutexNode):
+    """The production node with no compaction floor, so the property
+    test also exercises heap rebuilds on its small queues."""
+
+    _COMPACT_MIN = 0
+
+
+class ChannelNet:
+    """Per-channel FIFO links; the caller picks which channel delivers."""
+
+    def __init__(self, node_cls, n: int):
+        self.ids = [f"n{i}" for i in range(n)]
+        self.channels = {
+            (a, b): deque() for a in self.ids for b in self.ids if a != b
+        }
+        self.grants: List[tuple] = []
+        self.nodes: Dict[str, LamportMutexNode] = {}
+        for node_id in self.ids:
+            self.nodes[node_id] = node_cls(
+                node_id=node_id,
+                transport=ChannelTransport(self, node_id),
+                kind_prefix="lam",
+                on_granted=lambda tag, nid=node_id: self.grants.append(
+                    (nid, tag)
+                ),
+            )
+
+    def deliver(self, src: str, dst: str) -> None:
+        channel = self.channels[(src, dst)]
+        if not channel:
+            return
+        kind, payload = channel.popleft()
+        node = self.nodes[dst]
+        if kind.endswith(".request"):
+            node.on_request(payload)
+        elif kind.endswith(".reply"):
+            node.on_reply(payload)
+        else:
+            node.on_release(payload)
+
+    def assert_heaps_cover_queues(self) -> None:
+        """Every queued request has a live row in its node's heap."""
+        for node in self.nodes.values():
+            live = {
+                (origin, tag)
+                for ts, origin, tag in node._heap
+                if node._queue.get((origin, tag)) == ts
+            }
+            assert live == set(node._queue)
+
+    def state(self):
+        return (
+            list(self.grants),
+            {
+                nid: (node.queue_size, node.pending_tags(), node.held_tags())
+                for nid, node in self.nodes.items()
+            },
+            {key: list(channel) for key, channel in self.channels.items()},
+        )
+
+
+class ChannelTransport(MutexTransport):
+    def __init__(self, net: ChannelNet, node_id: str):
+        self.net = net
+        self.node_id = node_id
+        self._peers = tuple(n for n in net.ids if n != node_id)
+
+    def peers(self):
+        return self._peers
+
+    def send(self, dst, kind, payload):
+        self.net.channels[(self.node_id, dst)].append((kind, payload))
+
+
+TAGS = ("a", "b", "c")
+# Repeats weight the draw: mostly requests, deliveries and releases,
+# so most sequences reach grants between the rarer crash-path calls.
+OPS = (
+    ("request",) * 3 + ("deliver",) * 8 + ("release",) * 2
+    + ("abort", "forget_origin", "reset_volatile", "reannounce_to")
+)
+
+
+def apply_op(net: ChannelNet, op: str, i: int, j: int) -> None:
+    ids = net.ids
+    node_id = ids[i % len(ids)]
+    other = ids[j % len(ids)]
+    node = net.nodes[node_id]
+    if op == "request":
+        tag = TAGS[j % len(TAGS)]
+        if tag not in node.pending_tags() and tag not in node.held_tags():
+            node.request(tag)
+    elif op == "deliver":
+        # The (i, j)-th busy channel, so a delivery always makes progress.
+        busy = [key for key, channel in net.channels.items() if channel]
+        if busy:
+            net.deliver(*busy[(4 * i + j) % len(busy)])
+    elif op == "release":
+        held = node.held_tags()
+        if held:
+            node.release(held[j % len(held)])
+    elif op == "abort":
+        node.abort(TAGS[j % len(TAGS)])
+    elif op == "forget_origin":
+        if other != node_id:
+            node.forget_origin(other)
+    elif op == "reset_volatile":
+        node.reset_volatile()
+    elif op == "reannounce_to":
+        if other != node_id:
+            node.reannounce_to(other)
+
+
+@seed(1994)
+@settings(deadline=None, max_examples=300)
+@given(
+    node_cls=st.sampled_from([LamportMutexNode, EagerCompactNode]),
+    n=st.integers(min_value=3, max_value=4),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(OPS),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=3),
+        ),
+        min_size=10,
+        max_size=120,
+    ),
+)
+def test_property_heap_head_matches_min_scan(node_cls, n, ops):
+    """Any sequence of operations grants the same tags in the same
+    order, with the same queue sizes and messages, as a node that
+    rescans the whole queue for its head."""
+    heap_net = ChannelNet(node_cls, n)
+    scan_net = ChannelNet(ScanNode, n)
+    for op, i, j in ops:
+        apply_op(heap_net, op, i, j)
+        apply_op(scan_net, op, i, j)
+        assert heap_net.state() == scan_net.state()
+        heap_net.assert_heaps_cover_queues()
+    # Drain every channel, releasing as grants arrive, so queued
+    # requests get their turn too.
+    for _ in range(4 * n * len(TAGS)):
+        for src in heap_net.ids:
+            for dst in heap_net.ids:
+                while heap_net.channels.get((src, dst)):
+                    heap_net.deliver(src, dst)
+                    scan_net.deliver(src, dst)
+        for node_id in heap_net.ids:
+            for tag in heap_net.nodes[node_id].held_tags():
+                heap_net.nodes[node_id].release(tag)
+                scan_net.nodes[node_id].release(tag)
+        assert heap_net.state() == scan_net.state()
+        heap_net.assert_heaps_cover_queues()
